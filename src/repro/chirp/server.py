@@ -170,7 +170,11 @@ def c_open(op: Operation, conn: "_Connection") -> dict[str, Any]:
     flags = OpenFlags(int(op.args.get("flags", 0)))
     mode = int(op.args.get("mode", 0o644))
     sup_fd = path.driver.open(path.sub, int(flags), mode)
-    return {"fd": conn.install_fd(sup_fd, path.sub)}
+    # the opened inode, read off the descriptor (no second path walk):
+    # an O_TRUNC open changes it under every one of its names
+    ino = conn.server.owner_task.fdtable.get(sup_fd).inode.ino
+    op.scratch["fastlane_ino"] = ino
+    return {"fd": conn.install_fd(sup_fd, path.sub, ino)}
 
 
 def c_close(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -211,17 +215,22 @@ def c_ftruncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_stat(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    return StatPayload.from_stat(path.driver.stat(path.sub)).to_fields()
+    st = path.driver.stat(path.sub)
+    op.scratch["fastlane_ino"] = st.st_ino  # the read cache's inode index
+    return StatPayload.from_stat(st).to_fields()
 
 
 def c_lstat(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    return StatPayload.from_stat(path.driver.lstat(path.sub)).to_fields()
+    st = path.driver.lstat(path.sub)
+    op.scratch["fastlane_ino"] = st.st_ino
+    return StatPayload.from_stat(st).to_fields()
 
 
 def c_access(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    path.driver.stat(path.sub)  # existence probe after the rights check
+    # existence probe after the rights check
+    op.scratch["fastlane_ino"] = path.driver.stat(path.sub).st_ino
     return {}
 
 
@@ -573,9 +582,9 @@ class _Connection:
     peer: Peer
     principal: Principal | None = None
     _fds: dict[int, int] = field(default_factory=dict)
-    #: protocol fd → the opened path, so descriptor writes can invalidate
-    #: the fast-lane read cache narrowly instead of flushing it
-    _fd_paths: dict[int, str] = field(default_factory=dict)
+    #: protocol fd → the opened path and inode, so descriptor writes can
+    #: invalidate the fast-lane read cache narrowly instead of flushing it
+    _fd_targets: dict[int, tuple[str, int]] = field(default_factory=dict)
     _next_fd: int = 3
     _poisoned: bool = False
     _released: bool = False
@@ -761,7 +770,7 @@ class _Connection:
         for sup_fd in self._fds.values():
             self.server.machine.kcall(self.server.owner_task, "close", sup_fd)
         self._fds.clear()
-        self._fd_paths.clear()
+        self._fd_targets.clear()
 
     def _bind(self, op_name: str, message: dict[str, Any]) -> Operation:
         """Bind a decoded request into a pipeline operation.
@@ -796,21 +805,22 @@ class _Connection:
             and "fd" in args
         ):
             # descriptor-addressed mutations carry no path for the fast
-            # lane to invalidate by; hint it with the path the fd was
-            # opened on (an unknown fd degrades to a full flush)
-            op.scratch["fastlane_paths"] = [self._fd_paths.get(int(args["fd"]))]
+            # lane to invalidate by; hint it with the path and inode the
+            # fd was opened on (an unknown fd degrades to a full flush)
+            path, ino = self._fd_targets.get(int(args["fd"]), (None, None))
+            op.scratch["fastlane_paths"] = [path]
+            op.scratch["fastlane_ino"] = ino
         return op
 
     # ------------------------------------------------------------------ #
     # protocol descriptor table
     # ------------------------------------------------------------------ #
 
-    def install_fd(self, sup_fd: int, path: str | None = None) -> int:
+    def install_fd(self, sup_fd: int, path: str, ino: int) -> int:
         fd = self._next_fd
         self._next_fd += 1
         self._fds[fd] = sup_fd
-        if path is not None:
-            self._fd_paths[fd] = path
+        self._fd_targets[fd] = (path, ino)
         return fd
 
     def sup_fd(self, fd: int) -> int:
@@ -822,5 +832,5 @@ class _Connection:
         sup_fd = self._fds.pop(fd, None)
         if sup_fd is None:
             raise err(Errno.EBADF, f"chirp fd {fd}")
-        self._fd_paths.pop(fd, None)
+        self._fd_targets.pop(fd, None)
         return sup_fd

@@ -274,12 +274,33 @@ def _paths_related(cached: str, mutated: str) -> bool:
     """Could a mutation at ``mutated`` change what a read at ``cached``
     observed?  Yes if either path contains the other: writing a child
     changes the parent directory's stat/readdir, and replacing a parent
-    (rename, setacl on the governing dir) changes every verdict below."""
+    (rename, setacl on the governing dir) changes every verdict below.
+
+    This is the reference relation :class:`ReadCache` invalidates by.  The
+    cache answers it through its path index instead of calling it: split
+    on a literal ``"/"``, two paths are related exactly when one's
+    component list is a prefix of the other's.  That keeps the string
+    test's quirks — ``""`` is related to every absolute path, ``"/"``
+    (components ``["", ""]``) only to itself and the paths below
+    ``"//"``, and ``"/a/"`` is a child of ``"/a"``."""
     return (
         cached == mutated
         or cached.startswith(mutated + "/")
         or mutated.startswith(cached + "/")
     )
+
+
+class _PathNode:
+    """One component of the :class:`ReadCache` path index: the live keys
+    cached at exactly this path, and the next components below it."""
+
+    __slots__ = ("parent", "name", "children", "keys")
+
+    def __init__(self, parent: "_PathNode | None", name: str) -> None:
+        self.parent = parent
+        self.name = name
+        self.children: dict[str, _PathNode] = {}
+        self.keys: set[tuple] = set()
 
 
 class ReadCache:
@@ -298,6 +319,13 @@ class ReadCache:
       parent's stat), and its descendants (a renamed or re-ACL'd
       directory changes every verdict below it) — ``setacl`` invalidates
       from the *governing* directory down;
+    * it also drops entries by inode, because one inode can have several
+      names: a read that observed an inode (``stat``, ``lstat``,
+      ``access``) stashes its number in ``op.scratch["fastlane_ino"]``,
+      and so does a mutation that knows which inode it changed (an
+      ``open`` or a descriptor write).  Every dropped entry takes the
+      other entries of its inode with it, so a ``truncate`` through one
+      name of a ``stat``-cached file reaches its other names too;
     * descriptor writes (``pwrite``/``ftruncate``) invalidate via the
       ``op.scratch["fastlane_paths"]`` hint the surface stashes; a
       path-less mutation flushes everything;
@@ -306,6 +334,17 @@ class ReadCache:
     * a world-epoch change (``Machine.restore``) flushes everything —
       entries must never outlive the world they were read from;
     * errors are never cached, so ENOENT-then-create stays visible.
+
+    Invalidation never scans the cache.  Live keys are indexed in a trie
+    of path components (split on ``"/"``, see :func:`_paths_related`) and
+    in a map from inode to keys.  A mutation at ``M`` walks ``M``'s
+    components, collecting the keys at each ancestor and at ``M``, then
+    the keys in ``M``'s subtree, so one invalidation costs
+    O(path depth + entries dropped) whatever the cache holds.  The index
+    grows with the live entries: one node per distinct cached path
+    prefix, pruned when its last key is evicted or dropped.  Its ``"/"``
+    quirk (``"/"`` is not an ancestor of ``"/a"``) never arises on Chirp,
+    where every path is the export root plus a normalized path.
 
     Only successful results of ops in ``cacheable`` are stored, and only
     surfaces whose handlers are pure install the cache at all (the Chirp
@@ -325,7 +364,10 @@ class ReadCache:
         self.telemetry = telemetry
         self.epoch_source = epoch_source
         self._epoch = epoch_source() if epoch_source is not None else None
-        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
+        #: key -> (value, index nodes of its paths, inode or None)
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._root = _PathNode(None, "")
+        self._by_inode: dict[int, set[tuple]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -380,26 +422,86 @@ class ReadCache:
             if self._entries:
                 self.invalidate_all()
 
+    # -- the index ------------------------------------------------------ #
+
+    def _fill(self, key: tuple, value: Any, ino: int | None) -> None:
+        entries = self._entries
+        if key in entries:  # filled again while its miss ran: index once
+            self._forget(key, *entries.pop(key)[1:])
+        nodes = []
+        for path in key[2]:
+            node = self._root
+            for name in path.split("/"):
+                child = node.children.get(name)
+                if child is None:
+                    child = node.children[name] = _PathNode(node, name)
+                node = child
+            node.keys.add(key)
+            nodes.append(node)
+        if ino is not None:
+            keys = self._by_inode.get(ino)
+            if keys is None:
+                self._by_inode[ino] = {key}
+            else:
+                keys.add(key)
+        entries[key] = (value, nodes, ino)
+        while len(entries) > self.capacity:
+            evicted, (_, nodes, ino) = entries.popitem(last=False)
+            self._forget(evicted, nodes, ino)
+
+    def _forget(self, key: tuple, nodes: list[_PathNode], ino: int | None) -> None:
+        """Unindex a key already popped from the entries; prune the nodes
+        it leaves empty."""
+        for node in nodes:
+            node.keys.discard(key)
+            while not node.keys and not node.children and node.parent is not None:
+                parent = node.parent
+                del parent.children[node.name]
+                node.parent = None  # detached: a second path of the key stops here
+                node = parent
+        if ino is not None:
+            keys = self._by_inode[ino]
+            keys.discard(key)
+            if not keys:
+                del self._by_inode[ino]
+
+    def _related_keys(self, path: str, into: set[tuple]) -> None:
+        """Add every live key with a path related to ``path``."""
+        node = self._root
+        for name in path.split("/"):
+            node = node.children.get(name)
+            if node is None:
+                return
+            into.update(node.keys)  # ancestors, then ``path`` itself
+        below = list(node.children.values())
+        while below:
+            node = below.pop()
+            into.update(node.keys)
+            below.extend(node.children.values())
+
+    # -- invalidation --------------------------------------------------- #
+
     def invalidate_all(self) -> None:
         dropped = len(self._entries)
         self._entries.clear()
+        self._root = _PathNode(None, "")
+        self._by_inode.clear()
         if dropped:
             self.invalidations += dropped
         self.flushes += 1
         self._count("fastlane.cache.flushes")
 
-    def invalidate_paths(self, paths: list[str]) -> None:
-        doomed = [
-            key
-            for key in self._entries
-            if any(
-                _paths_related(cached, mutated)
-                for cached in key[2]
-                for mutated in paths
-            )
-        ]
+    def invalidate_paths(self, paths: list[str], ino: int | None = None) -> None:
+        """Drop every entry related to one of ``paths``, every entry of
+        inode ``ino``, and every entry of each dropped entry's inode."""
+        doomed: set[tuple] = set()
+        for path in paths:
+            self._related_keys(path, doomed)
+        entries = self._entries
+        for each in {ino, *(entries[key][2] for key in doomed)}:
+            doomed.update(self._by_inode.get(each, ()))
         for key in doomed:
-            del self._entries[key]
+            self._forget(key, *entries.pop(key)[1:])
         if doomed:
             self.invalidations += len(doomed)
             self._count("fastlane.cache.invalidations")
@@ -423,7 +525,7 @@ class ReadCache:
             # caller: nothing narrower than a flush is sound
             self.invalidate_all()
             return
-        self.invalidate_paths(paths)
+        self.invalidate_paths(paths, op.scratch.get("fastlane_ino"))
 
     def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
         self._check_epoch()
@@ -431,20 +533,21 @@ class ReadCache:
         if name in self.cacheable and op.paths:
             key = self._key(op)
             if key is not None:
-                if key in self._entries:
+                entry = self._entries.get(key)
+                if entry is not None:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     self._count("fastlane.cache.hits", op=name)
-                    value = self._entries[key]
+                    value = entry[0]
                     return dict(value) if isinstance(value, dict) else value
                 result = proceed()
                 self.misses += 1
                 self._count("fastlane.cache.misses", op=name)
-                self._entries[key] = (
-                    dict(result) if isinstance(result, dict) else result
+                self._fill(
+                    key,
+                    dict(result) if isinstance(result, dict) else result,
+                    op.scratch.get("fastlane_ino"),
                 )
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
                 return result
             return proceed()
         if name in MUTATING_OPS and (name != "open" or open_mutates(op)):

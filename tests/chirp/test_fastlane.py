@@ -89,6 +89,42 @@ def test_descriptor_write_between_cached_reads_is_visible(monkeypatch):
     assert fred.stat("/t/f").size == 8
 
 
+@pytest.mark.parametrize("coalesce", ["", "1"])
+def test_write_through_a_hard_link_is_visible_through_the_other_name(
+    monkeypatch, coalesce
+):
+    """One inode, two names: a put through one must not leave the other
+    name's memoized stat behind (invalidation by inode, not just path)."""
+    fastlane_off(monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_COALESCE", coalesce)
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=None)
+    fred.mkdir("/a")
+    fred.mkdir("/b")
+    fred.put(b"x", "/a/f")
+    fred.link("/a/f", "/b/g")
+    assert fred.stat("/a/f").size == 1
+    fred.put(b"nineteen bytes long", "/b/g")
+    assert fred.stat("/a/f").size == 19
+
+
+def test_path_mutation_of_a_cached_link_name_reaches_the_other_name(monkeypatch):
+    """A path-addressed truncate names no inode; the dropped stat of the
+    truncated name carries it to the other name's entries."""
+    fastlane_off(monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=None)
+    fred.mkdir("/a")
+    fred.put(b"0123456789", "/a/f")
+    fred.link("/a/f", "/a/g")
+    assert fred.stat("/a/f").size == 10
+    assert fred.access("/a/g", "w") is True
+    fred.truncate("/a/g", 3)
+    assert fred.stat("/a/f").size == 3
+
+
 def test_setacl_between_cached_acl_reads_is_visible(monkeypatch):
     fastlane_off(monkeypatch)
     monkeypatch.setenv("REPRO_CACHE", "1")

@@ -1,10 +1,11 @@
 """The fast lane's interceptors in isolation: ReadCache and IdentityQuota.
 
 The cache's whole correctness story is invalidation — path relations,
-governing-directory scope for ``setacl``, descriptor hints, world-epoch
-flushes — and the quota's is the EAGAIN-before-any-work contract.  These
-tests drive both against a toy registry so every rule is pinned without
-a server in the loop.
+governing-directory scope for ``setacl``, descriptor hints, inodes shared
+by several names, world-epoch flushes, and an index that stays exactly
+in step with the live entries — and the quota's is the
+EAGAIN-before-any-work contract.  These tests drive both against a toy
+registry so every rule is pinned without a server in the loop.
 """
 
 import pytest
@@ -20,14 +21,18 @@ from repro.core.pipeline import (
 )
 from repro.kernel.errno import Errno, KernelError
 from repro.kernel.fdtable import OpenFlags
+from tests.helpers import assert_cache_index_consistent
 
 
-def read_op(name, sub, identity="fred", **args):
-    """A cacheable read op bound to one path."""
+def read_op(name, sub, identity="fred", ino=None, **args):
+    """A cacheable read op bound to one path; ``ino`` is the inode its
+    handler observed, stashed as the Chirp handlers do."""
     spec = PathArg("path")
     op = Operation(name=name, surface="test", args={"path": sub, **args})
     op.identity = identity
     op.paths = [BoundPath(spec=spec, raw=sub, full=sub, sub=sub)]
+    if ino is not None:
+        op.scratch["fastlane_ino"] = ino
     return op
 
 
@@ -49,6 +54,10 @@ def test_paths_related_equal_prefix_and_unrelated():
     assert _paths_related("/a", "/a/b")  # child mutated: parent stat stale
     assert not _paths_related("/a/bb", "/a/b")  # sibling with shared prefix
     assert not _paths_related("/x", "/y")
+    # the string relation's quirks, which the cache's index keeps: "/" is
+    # ["", ""] split on "/", "" is every absolute path's ancestor
+    assert not _paths_related("/", "/a") and _paths_related("//a", "/")
+    assert _paths_related("/a", "") and _paths_related("/a/", "/a")
 
 
 # -- hit/miss mechanics ------------------------------------------------------ #
@@ -130,14 +139,18 @@ def test_mutation_invalidates_same_ancestor_and_descendant_paths():
 
 def test_mutation_invalidates_even_when_the_handler_fails():
     cache = ReadCache()
-    run_cached(cache, read_op("stat", "/d/f"), lambda: {"v": 1})
+    for sub in ("/d", "/d/f", "/d/f/g", "/e"):
+        run_cached(cache, read_op("stat", sub), lambda: {"p": sub})
 
     def boom():
         raise KernelError(Errno.EIO, "partial write then failure")
 
     with pytest.raises(KernelError):
         run_cached(cache, write_op("truncate", "/d/f"), boom)
-    assert len(cache) == 0
+    # the ``finally`` still walks the index: ancestor, self, descendant
+    assert len(cache) == 1 and cache.invalidations == 3
+    assert_cache_index_consistent(cache)
+    assert set(cache._root.children[""].children) == {"e"}  # /d's branch pruned
 
 
 def test_readonly_open_does_not_invalidate_but_writable_open_does():
@@ -172,6 +185,7 @@ def test_fd_write_invalidates_via_the_scratch_hint():
     op.scratch["fastlane_paths"] = ["/d/f"]
     run_cached(cache, op, lambda: {"count": 4})
     assert len(cache) == 1  # /e survives, /d/f dropped
+    assert_cache_index_consistent(cache)
 
 
 def test_fd_write_with_unknown_path_flushes_everything():
@@ -183,6 +197,14 @@ def test_fd_write_with_unknown_path_flushes_everything():
     op.scratch["fastlane_paths"] = [None]  # the surface lost track
     run_cached(cache, op, lambda: {"count": 4})
     assert len(cache) == 0 and cache.flushes == 1
+    assert_cache_index_consistent(cache)
+    assert not cache._root.children
+    # the reset index serves new fills and narrow invalidations again
+    run_cached(cache, read_op("stat", "/a"), lambda: {"v": 3})
+    run_cached(cache, read_op("stat", "/b"), lambda: {"v": 4})
+    run_cached(cache, write_op("unlink", "/a"), lambda: {})
+    assert len(cache) == 1
+    assert_cache_index_consistent(cache)
 
 
 def test_exec_flushes_everything():
@@ -201,6 +223,67 @@ def test_epoch_change_flushes_the_cache():
     epoch[0] += 1  # the world was restored out from under us
     run_cached(cache, read_op("stat", "/f"), lambda: {"v": 2})
     assert cache.flushes == 1 and cache.misses == 2
+
+
+def test_mutation_after_an_eviction_drops_nothing():
+    cache = ReadCache(capacity=1)
+    run_cached(cache, read_op("stat", "/d/f", ino=7), lambda: {"v": 1})
+    run_cached(cache, read_op("stat", "/e"), lambda: {"v": 2})  # evicts /d/f
+    assert_cache_index_consistent(cache)
+    assert set(cache._root.children[""].children) == {"e"}
+    assert 7 not in cache._by_inode
+    # the evicted key's path and inode are unindexed: nothing to drop
+    op = Operation(name="pwrite", surface="test", args={"fd": 3})
+    op.scratch.update(fastlane_paths=["/d/f"], fastlane_ino=7)
+    run_cached(cache, op, lambda: {"count": 1})
+    run_cached(cache, write_op("unlink", "/d/f"), lambda: {})
+    assert len(cache) == 1 and cache.invalidations == 0
+    assert_cache_index_consistent(cache)
+
+
+def test_refilling_a_live_key_indexes_it_once():
+    cache = ReadCache()
+
+    def refilled_meanwhile():
+        # the same key is filled while its own miss is still running
+        run_cached(cache, read_op("stat", "/d/f", ino=7), lambda: {"v": 0})
+        return {"v": 1}
+
+    result = run_cached(cache, read_op("stat", "/d/f", ino=8), refilled_meanwhile)
+    assert result == {"v": 1} and len(cache) == 1
+    assert_cache_index_consistent(cache)
+    assert cache._by_inode == {8: set(cache._entries)}  # the later fill won
+    assert run_cached(cache, read_op("stat", "/d/f"), lambda: {"v": 2}) == {"v": 1}
+    run_cached(cache, write_op("unlink", "/d/f"), lambda: {})
+    assert len(cache) == 0 and cache.invalidations == 1
+    assert_cache_index_consistent(cache)
+
+
+def test_mutation_drops_every_name_of_its_inode():
+    cache = ReadCache()
+    run_cached(cache, read_op("stat", "/a/f", ino=7), lambda: {"size": 1})
+    run_cached(cache, read_op("stat", "/b/g", ino=7), lambda: {"size": 1})
+    run_cached(cache, read_op("stat", "/c", ino=8), lambda: {"size": 2})
+    # a write through the descriptor opened on /b/g: its inode hint
+    # reaches /a/f, which shares no path with /b/g
+    op = Operation(name="pwrite", surface="test", args={"fd": 3})
+    op.scratch.update(fastlane_paths=["/b/g"], fastlane_ino=7)
+    run_cached(cache, op, lambda: {"count": 19})
+    assert [key[2] for key in cache._entries] == [("/c",)]
+    assert cache.invalidations == 2
+    assert_cache_index_consistent(cache)
+
+
+def test_dropped_entry_carries_its_inode_to_the_other_names():
+    cache = ReadCache()
+    run_cached(cache, read_op("stat", "/a/f", ino=7), lambda: {"size": 10})
+    run_cached(cache, read_op("access", "/a/g", ino=7, letters="w"), lambda: {})
+    run_cached(cache, read_op("stat", "/a/h", ino=9), lambda: {"size": 5})
+    # a path-addressed truncate names no inode; the access entry it drops
+    # for /a/g knows /a/g's inode, and /a/f's stat goes with it
+    run_cached(cache, write_op("truncate", "/a/g", length=3), lambda: {})
+    assert [key[2] for key in cache._entries] == [("/a/h",)]
+    assert_cache_index_consistent(cache)
 
 
 def test_cacheable_set_matches_ops_declaration():

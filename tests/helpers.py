@@ -7,12 +7,14 @@ from typing import Any
 
 from repro.config import snapshot_fixtures_enabled
 from repro.core.box import IdentityBox
+from repro.core.pipeline import ReadCache
 from repro.kernel.fdtable import OpenFlags
 from repro.kernel.machine import Machine, WorldSnapshot
 from repro.kernel.timing import CostModel
 from repro.kernel.users import Credentials
 
 __all__ = [
+    "assert_cache_index_consistent",
     "boxed_read_file",
     "boxed_write_file",
     "make_machine",
@@ -140,3 +142,34 @@ def boxed_read_file(box: IdentityBox, path: str) -> Any:
     box.spawn(body, comm="boxed-read")
     box.machine.run()
     return outcome[0]
+
+
+def assert_cache_index_consistent(cache: ReadCache) -> None:
+    """A :class:`ReadCache`'s invalidation index holds exactly its live
+    keys: each key at the node of every one of its paths, each key that
+    recorded an inode under that inode, and no node without a key in its
+    subtree (evictions and drops prune what they empty)."""
+    indexed: dict[tuple, set[str]] = {}
+
+    def walk(node, prefix: list[str]) -> None:
+        for name, child in node.children.items():
+            comps = prefix + [name]
+            assert child.parent is node and child.name == name
+            assert child.keys or child.children, f"orphan node {'/'.join(comps)!r}"
+            for key in child.keys:
+                indexed.setdefault(key, set()).add("/".join(comps))
+            walk(child, comps)
+
+    assert not cache._root.keys and cache._root.parent is None
+    walk(cache._root, [])
+    assert indexed == {key: set(key[2]) for key in cache._entries}
+    by_inode: dict[int, set[tuple]] = {}
+    for key, (_value, nodes, ino) in cache._entries.items():
+        for node in nodes:  # the entry's own record points into the trie
+            assert key in node.keys
+            while node.parent is not None:
+                node = node.parent
+            assert node is cache._root
+        if ino is not None:
+            by_inode.setdefault(ino, set()).add(key)
+    assert cache._by_inode == by_inode

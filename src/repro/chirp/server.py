@@ -145,6 +145,26 @@ IDEM_CACHE_LIMIT = 1024
 # ---------------------------------------------------------------------- #
 
 
+def _stash_ino(op: Operation, conn: "_Connection", sub: str, *, follow: bool) -> None:
+    """Name the inode a path-addressed mutation is about to change.
+
+    The read cache drops every entry of ``op.scratch["fastlane_ino"]``,
+    which reaches the stats cached under the inode's *other* names.  The
+    reference monitor has just resolved this key as the owner, so the
+    lookup is a dentry-cache hit and charges nothing to the clock (a
+    ``stat`` would be a charged syscall and move simulated time).
+    """
+    server = conn.server
+    if server.read_cache is None:
+        return
+    try:
+        res = server.machine.vfs.resolve(sub, server.owner_task.cred, follow=follow)
+    except KernelError:
+        return  # the mutation fails the same way; nothing to name
+    if res.inode is not None:
+        op.scratch["fastlane_ino"] = res.inode.ino
+
+
 def c_auth(op: Operation, conn: "_Connection") -> dict[str, Any]:
     server = conn.server
     method = str(op.args.get("method", ""))
@@ -264,12 +284,14 @@ def c_rmdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_unlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
+    _stash_ino(op, conn, path.sub, follow=False)  # its nlink drops
     path.driver.unlink(path.sub)
     return {}
 
 
 def c_rename(op: Operation, conn: "_Connection") -> dict[str, Any]:
     old, new = op.path(0), op.path(1)
+    _stash_ino(op, conn, new.sub, follow=False)  # a replaced file loses a link
     rename_clearing_acl(old.driver, old.sub, new.sub)
     conn.server.policy.invalidate_all()
     return {}
@@ -286,12 +308,14 @@ def c_symlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_link(op: Operation, conn: "_Connection") -> dict[str, Any]:
     old, new = op.path(0), op.path(1)
+    _stash_ino(op, conn, old.sub, follow=False)  # its nlink rises
     old.driver.link(old.sub, new.sub)
     return {}
 
 
 def c_truncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
+    _stash_ino(op, conn, path.sub, follow=True)  # its size changes
     path.driver.truncate(path.sub, int(op.args["length"]))
     return {}
 

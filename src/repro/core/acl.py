@@ -52,16 +52,28 @@ class Acl:
     """An ordered collection of ACL entries."""
 
     entries: list[AclEntry] = field(default_factory=list)
+    #: identity -> effective rights, filled by :meth:`rights_for` and
+    #: cleared by every mutation; never holds an invalid identity
+    _rights: dict[str, Rights] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- evaluation ------------------------------------------------------ #
 
     def rights_for(self, identity: str) -> Rights:
-        """Effective rights of ``identity``: union of matching entries."""
-        validate_identity(identity)
-        effective = Rights.none()
-        for entry in self.entries:
-            if entry.matches(identity):
-                effective = effective | entry.rights
+        """Effective rights of ``identity``: union of matching entries.
+
+        Compiled once per identity: later calls are a dict lookup until
+        :meth:`set_entry` or :meth:`remove_entry` changes the entries.
+        """
+        effective = self._rights.get(identity)
+        if effective is None:
+            validate_identity(identity)
+            effective = Rights.none()
+            for entry in self.entries:
+                if entry.matches(identity):
+                    effective = effective | entry.rights
+            self._rights[identity] = effective
         return effective
 
     def allows(self, identity: str, letters: str) -> bool:
@@ -79,6 +91,7 @@ class Acl:
         Empty rights remove the entry — mirroring the Chirp ``setacl``
         convention where granting ``-`` deletes a subject.
         """
+        self._rights.clear()
         self.entries = [e for e in self.entries if e.subject != subject]
         if not rights.is_empty:
             self.entries.append(AclEntry(subject=subject, rights=rights))

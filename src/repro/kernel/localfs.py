@@ -57,6 +57,12 @@ class LocalFS:
         #: them, POSIX-style).  Always the *writable* incarnation; never part
         #: of a snapshot — an unlinked file dies with its world.
         self._orphans: dict[int, Inode] = {}
+        #: Memoized path resolutions, owned here and filled by
+        #: :meth:`repro.kernel.vfs.VFS.resolve`.  Every method below that
+        #: changes a directory's entries, a directory's parent, or any
+        #: inode's permission bits or owner clears it, as does
+        #: :meth:`restore_state`; this class is the only writer of those.
+        self.dentries: dict[tuple, tuple] = {}
         root = Inode(ino=1, ftype=FileType.DIR, mode=DEFAULT_DIR_MODE, uid=0, gid=0, nlink=2)
         self._inodes[1] = root
         self._dir_parent[1] = 1
@@ -163,6 +169,7 @@ class LocalFS:
             raise err(Errno.ENOTDIR, f"inode {directory.ino}")
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
+        self.dentries.clear()
         directory = self.writable(directory)
         node = self._alloc(FileType.FILE, mode, uid, gid, now_ns)
         directory.entries[name] = node.ino
@@ -184,6 +191,7 @@ class LocalFS:
             raise err(Errno.ENOTDIR, f"inode {directory.ino}")
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
+        self.dentries.clear()
         directory = self.writable(directory)
         node = self._alloc(FileType.DIR, mode, uid, gid, now_ns)
         node.nlink = 2  # "." plus the entry in the parent
@@ -208,6 +216,7 @@ class LocalFS:
             raise err(Errno.ENOTDIR, f"inode {directory.ino}")
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
+        self.dentries.clear()
         directory = self.writable(directory)
         node = self._alloc(FileType.SYMLINK, 0o777, uid, gid, now_ns)
         node.symlink_target = target
@@ -224,6 +233,7 @@ class LocalFS:
             raise err(Errno.EPERM, "hard links to directories are forbidden")
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
+        self.dentries.clear()
         directory = self.writable(directory)
         target = self.writable(target)
         directory.entries[name] = target.ino
@@ -236,6 +246,7 @@ class LocalFS:
         node = self.lookup(directory, name)
         if node.is_dir:
             raise err(Errno.EISDIR, name)
+        self.dentries.clear()
         directory = self.writable(directory)
         node = self.writable(node)
         del directory.entries[name]
@@ -254,6 +265,7 @@ class LocalFS:
             raise err(Errno.ENOTDIR, name)
         if node.entries:
             raise err(Errno.ENOTEMPTY, name)
+        self.dentries.clear()
         directory = self.writable(directory)
         node = self.writable(node)
         del directory.entries[name]
@@ -290,6 +302,7 @@ class LocalFS:
                 self.rmdir(dst_dir, dst_name, now_ns)
             else:
                 self.unlink(dst_dir, dst_name, now_ns)
+        self.dentries.clear()
         src_dir = self.writable(src_dir)
         dst_dir = self.writable(dst_dir)
         node = self.writable(node)
@@ -315,6 +328,7 @@ class LocalFS:
 
     def set_mode(self, node: Inode, mode: int, now_ns: int = 0) -> Inode:
         """chmod: replace the permission bits."""
+        self.dentries.clear()
         node = self.writable(node)
         node.mode = mode & 0o7777
         node.ctime_ns = now_ns
@@ -322,6 +336,7 @@ class LocalFS:
 
     def set_owner(self, node: Inode, uid: int, gid: int, now_ns: int = 0) -> Inode:
         """chown: replace owner and group."""
+        self.dentries.clear()
         node = self.writable(node)
         node.uid, node.gid = uid, gid
         node.ctime_ns = now_ns
@@ -398,6 +413,7 @@ class LocalFS:
         self._dir_parent.restore(parent_layers)
         self._next_ino = next_ino
         self._orphans = {}
+        self.dentries.clear()
 
     # ------------------------------------------------------------------ #
     # invariant checks (used by property tests)

@@ -22,6 +22,10 @@ MAX_SYMLINKS = 40
 
 PATH_MAX = 4096
 
+#: Entries the dentry cache (``LocalFS.dentries``) holds before it is
+#: cleared and refilled; bounds its memory whatever the workload walks.
+DENTRY_CACHE_LIMIT = 4096
+
 
 def split_path(path: str) -> list[str]:
     """Split a path into components, dropping empty ones (``//`` collapses)."""
@@ -150,13 +154,51 @@ class VFS:
         crossed must grant execute permission, as a real kernel requires.
         ``follow=False`` stops at a symlink in the final component (lstat,
         unlink, readlink semantics).
+
+        Successful walks are memoized in the filesystem's dentry cache,
+        keyed on the joined path, ``follow`` and the credential the
+        traverse check uses.  A hit rebuilds the result from the live
+        inodes with the walk's original :class:`WalkStats`, so callers
+        charge exactly what the walk would have cost.  Errors are never
+        cached.
         """
         if not path:
             raise err(Errno.ENOENT, "empty path")
         full = path if path.startswith("/") else join(cwd, path)
-        stats = WalkStats()
-        node, parent, name, dir_path = self._walk(full, cred, follow, check_traverse, stats, 0)
-        return Resolution(inode=node, parent=parent, name=name, dir_path=dir_path, stats=stats)
+        fs = self.fs
+        key = (
+            full,
+            follow,
+            (cred.uid, cred.gid) if check_traverse and cred is not None else None,
+        )
+        hit = fs.dentries.get(key)
+        if hit is None:
+            stats = WalkStats()
+            node, parent, name, dir_path = self._walk(
+                full, cred, follow, check_traverse, stats, 0
+            )
+            if len(fs.dentries) >= DENTRY_CACHE_LIMIT:
+                fs.dentries.clear()
+            fs.dentries[key] = (
+                None if node is None else node.ino,
+                parent.ino,
+                name,
+                dir_path,
+                stats.components,
+                stats.symlinks,
+            )
+            return Resolution(
+                inode=node, parent=parent, name=name, dir_path=dir_path, stats=stats
+            )
+        ino, parent_ino, name, dir_path, components, symlinks = hit
+        inodes = fs._inodes
+        return Resolution(
+            inode=None if ino is None else inodes[ino],
+            parent=inodes[parent_ino],
+            name=name,
+            dir_path=dir_path,
+            stats=WalkStats(components, symlinks),
+        )
 
     def _walk(
         self,

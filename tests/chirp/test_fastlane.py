@@ -125,6 +125,50 @@ def test_path_mutation_of_a_cached_link_name_reaches_the_other_name(monkeypatch)
     assert fred.stat("/a/f").size == 3
 
 
+def linked_pair(monkeypatch):
+    """``/a/f`` and ``/b/g``: one ten-byte inode, two names, with only
+    ``/a/f``'s stat memoized."""
+    fastlane_off(monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=None)
+    fred.mkdir("/a")
+    fred.mkdir("/b")
+    fred.put(b"0123456789", "/a/f")
+    fred.link("/a/f", "/b/g")
+    st = fred.stat("/a/f")
+    assert (st.size, st.nlink) == (10, 2)
+    return fred
+
+
+def test_truncate_through_an_uncached_name_reaches_the_cached_one(monkeypatch):
+    """The truncated name was never read, so no cached entry carries its
+    inode: the handler has to name it."""
+    fred = linked_pair(monkeypatch)
+    fred.truncate("/b/g", 3)
+    assert fred.stat("/a/f").size == 3
+
+
+def test_unlink_through_an_uncached_name_reaches_the_cached_one(monkeypatch):
+    fred = linked_pair(monkeypatch)
+    fred.unlink("/b/g")
+    assert fred.stat("/a/f").nlink == 1
+
+
+def test_rename_over_a_name_reaches_the_replaced_inodes_other_names(monkeypatch):
+    fred = linked_pair(monkeypatch)
+    fred.put(b"new", "/b/x")
+    fred.rename("/b/x", "/b/g")  # /b/g's old inode loses a link
+    assert fred.stat("/a/f").nlink == 1
+    assert fred.stat("/b/g").size == 3
+
+
+def test_link_through_an_uncached_name_reaches_the_cached_one(monkeypatch):
+    fred = linked_pair(monkeypatch)
+    fred.link("/b/g", "/b/h")  # the source inode's nlink rises
+    assert fred.stat("/a/f").nlink == 3
+
+
 def test_setacl_between_cached_acl_reads_is_visible(monkeypatch):
     fastlane_off(monkeypatch)
     monkeypatch.setenv("REPRO_CACHE", "1")

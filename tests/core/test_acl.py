@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.acl import Acl, AclEntry, AclError
+from repro.core.identity import IdentityError
 from repro.core.rights import Rights
 
 FRED = "/O=UnivNowhere/CN=Fred"
@@ -131,3 +132,60 @@ def test_empty_acl_denies_everyone():
 def test_entry_order_preserved():
     acl = paper_acl()
     assert acl.subjects() == [FRED, "/O=UnivNowhere/*"]
+
+
+# -- compiled rights (the per-identity memo) ---------------------------- #
+
+
+def test_compiled_rights_follow_set_entry_and_remove_entry():
+    acl = paper_acl()
+    george = "/O=UnivNowhere/CN=George"
+    assert acl.rights_for(george) == Rights.parse("rl")
+    acl.set_entry(george, Rights.parse("w"))
+    assert acl.rights_for(george) == Rights.parse("rwl")
+    acl.remove_entry("/O=UnivNowhere/*")
+    assert acl.rights_for(george) == Rights.parse("w")
+
+
+def test_copy_does_not_share_compiled_rights():
+    acl = paper_acl()
+    assert acl.rights_for(FRED) == Rights.parse("rwlxa")
+    twin = acl.copy()
+    twin.set_entry(FRED, Rights.parse("x"))
+    assert twin.rights_for(FRED) == Rights.parse("rlx")  # x plus the wildcard
+    assert acl.rights_for(FRED) == Rights.parse("rwlxa")
+    acl.remove_entry(FRED)
+    assert twin.rights_for(FRED) == Rights.parse("rlx")
+
+
+def test_compiled_rights_are_invisible_to_equality_and_repr():
+    acl = paper_acl()
+    acl.rights_for(FRED)
+    assert acl == paper_acl()
+    assert repr(acl) == repr(paper_acl())
+
+
+def test_compiled_wildcard_unions_equal_a_fresh_evaluation():
+    acl = Acl(
+        entries=[
+            AclEntry("/O=UnivNowhere/*", Rights.parse("rl")),
+            AclEntry("*/CN=Fred", Rights.parse("w")),
+            AclEntry("/O=Univ?owhere/CN=*", Rights.parse("x")),
+            AclEntry(FRED, Rights.parse("v(rwl)")),
+        ]
+    )
+    identities = [FRED, "/O=UnivNowhere/CN=George", "/O=Elsewhere/CN=Fred", "nobody"]
+    for _ in range(2):  # the first pass compiles, the second hits
+        for identity in identities:
+            expected = Rights.none()
+            for entry in acl:
+                if entry.matches(identity):
+                    expected = expected | entry.rights
+            assert acl.rights_for(identity) == expected
+
+
+def test_an_invalid_identity_raises_on_every_call():
+    acl = paper_acl()
+    for _ in range(2):
+        with pytest.raises(IdentityError):
+            acl.rights_for("not an identity")

@@ -6,6 +6,7 @@ from repro.kernel.errno import Errno, KernelError
 from repro.kernel.localfs import LocalFS
 from repro.kernel.users import Credentials
 from repro.kernel.vfs import (
+    DENTRY_CACHE_LIMIT,
     VFS,
     basename,
     dirname,
@@ -200,3 +201,68 @@ def test_empty_path_is_enoent(vfs):
     with pytest.raises(KernelError) as info:
         vfs.resolve("")
     assert info.value.errno is Errno.ENOENT
+
+
+# -- the dentry cache --------------------------------------------------------- #
+
+
+def test_a_hit_returns_the_walks_result_with_its_own_stats(vfs, fs):
+    first = vfs.resolve("/a/b/f.txt")
+    assert len(fs.dentries) == 1
+    again = vfs.resolve("/a/b/f.txt")
+    assert (again.inode, again.parent, again.name, again.dir_path) == (
+        first.inode,
+        first.parent,
+        first.name,
+        first.dir_path,
+    )
+    assert again.stats == first.stats
+    assert again.stats is not first.stats  # every caller charges its own walk
+
+
+def test_chmod_of_a_parent_turns_a_cached_traverse_into_eacces(vfs, fs):
+    cred = Credentials(uid=1, gid=1, username="u")
+    assert vfs.resolve("/a/b/f.txt", cred).exists
+    fs.set_mode(fs.lookup(fs.root, "a"), 0o000)
+    with pytest.raises(KernelError) as info:
+        vfs.resolve("/a/b/f.txt", cred)
+    assert info.value.errno is Errno.EACCES
+    # the error was not cached: granting execute again lets the walk through
+    fs.set_mode(fs.lookup(fs.root, "a"), 0o711)
+    assert vfs.resolve("/a/b/f.txt", cred).exists
+
+
+def test_errors_are_never_cached(vfs, fs):
+    with pytest.raises(KernelError):
+        vfs.resolve("/a/x/y")
+    assert not fs.dentries
+    fs.mkdir(fs.lookup(fs.root, "a"), "x", 1, 1)
+    assert not vfs.resolve("/a/x/y").exists
+
+
+def test_a_hit_returns_the_live_inode_after_copy_on_write(machine, root_task):
+    before = machine.vfs.resolve("/etc/passwd").inode
+    machine.snapshot()
+    machine.write_file(root_task, "/etc/passwd", b"x")  # clones the inode
+    after = machine.vfs.resolve("/etc/passwd").inode
+    assert after is not before
+    assert after is machine.fs.current(before)
+    assert after.size == 1
+
+
+def test_restore_and_fork_start_with_an_empty_dentry_cache(machine):
+    snap = machine.snapshot()
+    machine.vfs.resolve("/etc/passwd")
+    assert machine.fs.dentries
+    assert not machine.fork(snap).fs.dentries
+    machine.restore(snap)
+    assert not machine.fs.dentries
+
+
+def test_a_full_cache_is_cleared_and_refilled(vfs, fs):
+    for i in range(DENTRY_CACHE_LIMIT):
+        vfs.resolve(f"/a/n{i}")
+    assert len(fs.dentries) == DENTRY_CACHE_LIMIT
+    res = vfs.resolve("/a/b/f.txt")
+    assert len(fs.dentries) == 1
+    assert vfs.resolve("/a/b/f.txt").inode is res.inode
